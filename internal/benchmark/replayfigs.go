@@ -24,19 +24,9 @@ type Fig9Row struct {
 // RunFig9 regenerates Fig. 9: replay the (synthesized) Linux-kernel ACL
 // trace at each partition size, and once with the HE baseline.
 func RunFig9(cfg Config) ([]Fig9Row, error) {
-	kcfg := trace.KernelConfig{
-		TotalOps: cfg.KernelOps,
-		PeakLive: cfg.KernelPeak,
-		Span:     10 * 365 * 24 * time.Hour,
-		Seed:     cfg.Seed,
-	}
-	tr, err := trace.Kernel(kcfg)
+	tr, sampleEvery, err := fig9Trace(cfg)
 	if err != nil {
 		return nil, err
-	}
-	sampleEvery := cfg.KernelOps / 50
-	if sampleEvery < 1 {
-		sampleEvery = 1
 	}
 
 	rows := make([]Fig9Row, 0, len(cfg.Fig9Partitions)+1)
@@ -77,6 +67,21 @@ func RunFig9(cfg Config) ([]Fig9Row, error) {
 	}
 	rows = append(rows, Fig9Row{Scheme: "he-pki", AdminTotal: res.AdminTime, AvgDecrypt: res.AvgDecrypt()})
 	return rows, nil
+}
+
+// fig9Trace synthesizes the Linux-kernel ACL trace Fig. 9 replays and the
+// decrypt-sampling cadence that takes about 50 samples per replay.
+func fig9Trace(cfg Config) (*trace.Trace, int, error) {
+	tr, err := trace.Kernel(trace.KernelConfig{
+		TotalOps: cfg.KernelOps,
+		PeakLive: cfg.KernelPeak,
+		Span:     10 * 365 * 24 * time.Hour,
+		Seed:     cfg.Seed,
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return tr, max(cfg.KernelOps/50, 1), nil
 }
 
 // Fig10Row is one (partition size, revocation rate) cell of Fig. 10.

@@ -187,11 +187,9 @@ func (c *Client) fetchOwnRecord(ctx context.Context) (*core.PartitionRecord, []b
 // derived group key, starting with the current one. It returns when ctx
 // ends or the user is revoked (ErrEvicted).
 func (c *Client) Watch(ctx context.Context, fn func(gk [kdf.KeySize]byte)) error {
-	gk, err := c.Refresh(ctx)
-	if err != nil {
-		return err
-	}
-	fn(gk)
+	// The baseline version is read before the first Refresh: a change
+	// committed between that Refresh (or during fn) and the first Poll then
+	// still wakes the loop instead of being folded into the baseline.
 	c.mu.Lock()
 	since := c.version
 	c.mu.Unlock()
@@ -202,6 +200,11 @@ func (c *Client) Watch(ctx context.Context, fn func(gk [kdf.KeySize]byte)) error
 		}
 		since = v
 	}
+	gk, err := c.Refresh(ctx)
+	if err != nil {
+		return err
+	}
+	fn(gk)
 	for {
 		v, err := c.store.Poll(ctx, c.group, since)
 		if err != nil {

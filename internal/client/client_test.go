@@ -262,6 +262,39 @@ func TestWatchSeesRotationAndStops(t *testing.T) {
 	}
 }
 
+// TestWatchEndsWhenRevokedDuringFirstCallback revokes the watcher inside
+// its first callback, before the first Poll: the removal must still wake
+// the loop and end the watch with ErrEvicted, not hang until the deadline.
+func TestWatchEndsWhenRevokedDuringFirstCallback(t *testing.T) {
+	r := newRig(t, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	members := users(4)
+	up, err := r.mgr.CreateGroup("g", members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.publish(t, up)
+	c := r.clientFor(t, members[0], "g")
+
+	calls := 0
+	err = c.Watch(ctx, func([kdf.KeySize]byte) {
+		calls++
+		if calls > 1 {
+			return
+		}
+		up, err := r.mgr.RemoveUser("g", members[0])
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		r.publish(t, up)
+	})
+	if !errors.Is(err, ErrEvicted) {
+		t.Fatalf("watch exit after revocation: %v, want ErrEvicted", err)
+	}
+}
+
 func TestWatchSuppressesNoOpUpdates(t *testing.T) {
 	// An add to another partition changes the directory version but not
 	// this user's key; Watch must not re-deliver the same key.

@@ -26,8 +26,7 @@ import (
 // addition formulas (hit only when an intermediate sum cancels, which for
 // random secret scalars is astronomically unlikely) remain variable-time.
 // What it removes is the exponent-bit-shaped control flow and memory access
-// of the variable-time walks. Both entry points require an r-torsion point
-// and fall back to the variable-time path when the limb core is unavailable.
+// of the variable-time walks. Both entry points require an r-torsion point.
 
 // ctWindow is the fixed window width of the constant-time recoding: digits
 // are odd in ±{1, 3, …, 2^w − 1}, needing 2^(w−1) table entries per window.
@@ -109,61 +108,54 @@ func ctLoadDigit(m *ff.Mont, dst *montAffine, row []montAffine, d int8) {
 
 // ScalarMultConstTime returns (k mod r)·P for an r-torsion point P using the
 // uniform fixed-window walk: one table scan and one addition per window, w
-// doublings between windows, identical for every scalar. Falls back to
-// ScalarMult when the limb core is unavailable or P is the identity.
+// doublings between windows, identical for every scalar.
 func (c *Curve) ScalarMultConstTime(p *Point, k *big.Int) *Point {
-	m := c.mont()
-	if m == nil || p.Inf {
-		return c.ScalarMult(p, k)
+	if p.Inf {
+		return c.Infinity()
 	}
-	modd := toMontAffineBatch(m, c.oddMultiples(p, 1<<(ctWindow-1)))
+	m := c.mont()
+	odd := c.oddMultiples(m, p, 1<<(ctWindow-1))
 	digits := ctRecode(k, c.R)
 	var entry montAffine
 	var acc montJac
-	ctLoadDigit(m, &entry, modd, digits[len(digits)-1])
+	ctLoadDigit(m, &entry, odd, digits[len(digits)-1])
 	acc.setAffine(m, &entry)
 	for i := len(digits) - 2; i >= 0; i-- {
 		for b := 0; b < ctWindow; b++ {
 			c.montDouble(m, &acc)
 		}
-		ctLoadDigit(m, &entry, modd, digits[i])
+		ctLoadDigit(m, &entry, odd, digits[i])
 		c.montAddAffine(m, &acc, &entry)
 	}
 	return c.montFromJac(m, &acc)
 }
 
 // ctTable returns the signed-window fixed-base table: row i holds the odd
-// multiples {1, 3, …, 2^w − 1}·2^(w·i)·base, one row per recoded digit.
-// Built once on first use; nil when the limb core is unavailable or the base
+// multiples {1, 3, …, 2^w − 1}·2^(w·i)·base, one row per recoded digit, all
+// normalised with one inversion. Built once on first use; nil when the base
 // is the identity.
 func (fb *FixedBase) ctTable() [][]montAffine {
 	fb.ctOnce.Do(func() {
 		c := fb.c
-		m := c.mont()
-		if m == nil || fb.base.Inf {
+		if fb.base.Inf {
 			return
 		}
 		const w = ctWindow
 		per := 1 << (w - 1)
+		m := c.mont()
 		nd := ctDigits(c.R.BitLen() + 1)
-		js := make([]*jacobianPoint, 0, nd*per)
-		cur := c.toJacobian(fb.base)
+		js := make([]montJac, 0, nd*per)
+		cur := toMontJac(m, fb.base)
 		for i := 0; i < nd; i++ {
-			two := c.jacobianDouble(cur)
-			prev := cur
-			js = append(js, prev)
-			for d := 1; d < per; d++ {
-				prev = c.jacobianAdd(prev, two)
-				js = append(js, prev)
-			}
+			js = c.appendOddMultiples(m, js, &cur, per)
 			for b := 0; b < w; b++ {
-				cur = c.jacobianDouble(cur)
+				c.montDouble(m, &cur)
 			}
 		}
-		aff := c.batchNormalize(js)
+		aff := c.batchNormalize(m, js)
 		ct := make([][]montAffine, nd)
-		for i := 0; i < nd; i++ {
-			ct[i] = toMontAffineBatch(m, aff[i*per:(i+1)*per])
+		for i := range ct {
+			ct[i] = aff[i*per : (i+1)*per]
 		}
 		fb.ctable = ct
 	})
@@ -173,15 +165,14 @@ func (fb *FixedBase) ctTable() [][]montAffine {
 // MulConstTime returns (k mod r)·base through the signed-window table: one
 // masked row scan and one mixed addition per digit, no doublings, the same
 // sequence for every scalar. The base must be an r-torsion point (all
-// long-lived scheme bases are). Falls back to Mul when the limb core is
-// unavailable or the base is the identity.
+// long-lived scheme bases are).
 func (fb *FixedBase) MulConstTime(k *big.Int) *Point {
 	c := fb.c
-	m := c.mont()
 	ct := fb.ctTable()
-	if m == nil || ct == nil {
-		return fb.Mul(k)
+	if ct == nil {
+		return c.Infinity()
 	}
+	m := c.mont()
 	digits := ctRecode(k, c.R)
 	var entry montAffine
 	var acc montJac

@@ -8,6 +8,7 @@
 package curve
 
 import (
+	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -71,6 +72,9 @@ func NewCurve(f *ff.Field, r, cofactor *big.Int) (*Curve, error) {
 	}
 	return &Curve{F: f, R: new(big.Int).Set(r), Cofactor: new(big.Int).Set(cofactor), zr: zr}, nil
 }
+
+// cryptoRandReader is the default entropy source for RandPoint.
+var cryptoRandReader = rand.Reader
 
 // Infinity returns the identity element.
 func (c *Curve) Infinity() *Point { return &Point{Inf: true} }
@@ -160,9 +164,9 @@ func (c *Curve) Double(p *Point) *Point {
 
 // ScalarMult returns k·p. The scalar may be any integer; it is used as-is
 // (callers working in G1 should reduce modulo r first, which ScalarBase
-// operations in higher layers do). Internally the chain stays in Jacobian
-// coordinates end to end and walks the width-4 NAF of k over a
-// batch-normalized odd-multiple table, so a b-bit scalar costs b doublings
+// operations in higher layers do). The chain runs on the limb Montgomery
+// core in Jacobian coordinates end to end and walks the width-4 NAF of k over
+// a batch-normalized odd-multiple table, so a b-bit scalar costs b doublings
 // plus ≈ b/5 mixed additions and exactly two field inversions (one for the
 // table, one for the final normalisation).
 func (c *Curve) ScalarMult(p *Point, k *big.Int) *Point {
@@ -172,13 +176,26 @@ func (c *Curve) ScalarMult(p *Point, k *big.Int) *Point {
 	if k.Sign() < 0 {
 		return c.ScalarMult(c.Neg(p), new(big.Int).Neg(k))
 	}
-	return c.fromJacobian(c.scalarMultJacobian(p, k))
+	m := c.mont()
+	odd := c.oddMultiples(m, p, 1<<(scalarWindow-2))
+	digits := wnafDigits(k, scalarWindow)
+	var acc montJac
+	acc.setInfinity(m)
+	for i := len(digits) - 1; i >= 0; i-- {
+		c.montDouble(m, &acc)
+		if d := digits[i]; d > 0 {
+			c.montAddAffine(m, &acc, &odd[(d-1)/2])
+		} else if d < 0 {
+			c.montAddNegAffine(m, &acc, &odd[(-d-1)/2])
+		}
+	}
+	return c.montFromJac(m, &acc)
 }
 
-// ScalarMultBinary is the plain double-and-add ladder ScalarMult used before
-// the windowed fast path. It is kept as the reference implementation the
-// differential tests pin ScalarMult against, and as the "old path" arm of
-// the crypto benchmark.
+// ScalarMultBinary is the textbook reference ladder: affine double-and-add
+// over Add and Double, one field inversion per step. The differential tests
+// pin ScalarMult and every table path against it, and it is the "old path"
+// arm of the crypto benchmark.
 func (c *Curve) ScalarMultBinary(p *Point, k *big.Int) *Point {
 	if p.Inf || k.Sign() == 0 {
 		return c.Infinity()
@@ -186,14 +203,14 @@ func (c *Curve) ScalarMultBinary(p *Point, k *big.Int) *Point {
 	if k.Sign() < 0 {
 		return c.ScalarMultBinary(c.Neg(p), new(big.Int).Neg(k))
 	}
-	acc := c.jacobianInfinity()
+	acc := c.Infinity()
 	for i := k.BitLen() - 1; i >= 0; i-- {
-		acc = c.jacobianDouble(acc)
+		acc = c.Double(acc)
 		if k.Bit(i) == 1 {
-			acc = c.jacobianAddAffine(acc, p.X, p.Y)
+			acc = c.Add(acc, p)
 		}
 	}
-	return c.fromJacobian(acc)
+	return acc
 }
 
 // ScalarMultReduced reduces k modulo the subgroup order r before multiplying;

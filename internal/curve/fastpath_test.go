@@ -327,42 +327,114 @@ func TestMultiExpParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestBatchNormalizeMatchesFromJacobian pins the limb batch normaliser
+// against an independent big.Int conversion (x/Z², y/Z³ through ff.Field)
+// and against the binary ladder, over a mix of genuine Jacobian points
+// (Z ≠ 1 from doubling chains) and infinities in arbitrary positions, plus
+// the all-infinity and empty batches.
 func TestBatchNormalizeMatchesFromJacobian(t *testing.T) {
 	for name, c := range fastPathCurves(t) {
-		var js []*jacobianPoint
-		// A mix of genuine Jacobian points (Z ≠ 1 from doubling chains) and
-		// infinities in arbitrary positions.
+		m := c.mont()
 		p, err := c.RandPoint(rand.Reader)
 		if err != nil {
 			t.Fatalf("%s: RandPoint: %v", name, err)
 		}
-		cur := c.toJacobian(p)
+		base := toMontJac(m, p)
+		cur := base
+		inf := toMontJac(m, c.Infinity())
+		var js []montJac
+		var want []*Point
+		s := big.NewInt(1) // cur = s·p
 		for i := 0; i < 12; i++ {
 			if i%4 == 3 {
-				js = append(js, c.jacobianInfinity())
+				js = append(js, inf)
+				want = append(want, c.Infinity())
 				continue
 			}
-			cur = c.jacobianDouble(cur)
+			c.montDouble(m, &cur)
+			s.Lsh(s, 1)
 			js = append(js, cur)
-			cur = c.jacobianAdd(cur, c.toJacobian(p))
+			want = append(want, c.ScalarMultBinary(p, s))
+			c.montAdd(m, &cur, &base)
+			s.Add(s, big.NewInt(1))
 		}
-		batch := c.batchNormalize(js)
-		for i, j := range js {
-			want := c.fromJacobian(j)
-			if !c.Equal(batch[i], want) {
-				t.Fatalf("%s: batchNormalize[%d] ≠ fromJacobian", name, i)
+		batch := c.batchNormalize(m, js)
+		for i := range js {
+			got := fromMontAffine(m, &batch[i])
+			if ref := jacToAffineBig(c, m, &js[i]); string(c.Marshal(got)) != string(c.Marshal(ref)) {
+				t.Fatalf("%s: batchNormalize[%d] ≠ big.Int normalisation", name, i)
 			}
-			if !want.Inf && string(c.Marshal(batch[i])) != string(c.Marshal(want)) {
-				t.Fatalf("%s: batchNormalize[%d] encoding differs", name, i)
+			if string(c.Marshal(got)) != string(c.Marshal(want[i])) {
+				t.Fatalf("%s: batchNormalize[%d] ≠ binary ladder", name, i)
+			}
+			if single := c.montFromJac(m, &js[i]); string(c.Marshal(single)) != string(c.Marshal(got)) {
+				t.Fatalf("%s: montFromJac[%d] ≠ batchNormalize", name, i)
 			}
 		}
 		// Degenerate inputs: all-infinity and empty batches.
-		all := c.batchNormalize([]*jacobianPoint{c.jacobianInfinity()})
-		if !all[0].Inf {
+		if all := c.batchNormalize(m, []montJac{inf}); !all[0].inf {
 			t.Fatalf("%s: batchNormalize(∞) not ∞", name)
 		}
-		if got := c.batchNormalize(nil); len(got) != 0 {
+		if got := c.batchNormalize(m, nil); len(got) != 0 {
 			t.Fatalf("%s: batchNormalize(nil) returned %d points", name, len(got))
+		}
+	}
+}
+
+// jacToAffineBig normalises a limb Jacobian point through the big.Int field
+// arithmetic, independently of the limb normaliser under test.
+func jacToAffineBig(c *Curve, m *ff.Mont, j *montJac) *Point {
+	f := c.F
+	z := m.ToBig(&j.z)
+	if z.Sign() == 0 {
+		return c.Infinity()
+	}
+	zInv, err := f.Inv(z)
+	if err != nil {
+		panic(err)
+	}
+	zInv2 := f.Sqr(zInv)
+	return &Point{X: f.Mul(m.ToBig(&j.x), zInv2), Y: f.Mul(m.ToBig(&j.y), f.Mul(zInv2, zInv))}
+}
+
+// TestLimbPathInversionCounts pins the field inversions (ff.InvOps) of every
+// limb path: one per batch normalisation, so one per table build and one per
+// result, and none per step of any walk.
+func TestLimbPathInversionCounts(t *testing.T) {
+	for name, c := range fastPathCurves(t) {
+		p, err := c.RandPoint(rand.Reader)
+		if err != nil {
+			t.Fatalf("%s: RandPoint: %v", name, err)
+		}
+		rng := mrand.New(mrand.NewSource(5))
+		ks := make([]*big.Int, 24)
+		for i := range ks {
+			ks[i] = new(big.Int).Add(new(big.Int).Rand(rng, new(big.Int).Sub(c.R, big.NewInt(1))), big.NewInt(1))
+		}
+		points := []*Point{p, c.ScalarMult(p, ks[0]), c.ScalarMult(p, ks[1])}
+		var fb *FixedBase
+		var tab *MultiExpTable
+		cases := []struct {
+			op   string
+			want int64
+			run  func()
+		}{
+			{"ScalarMult", 2, func() { c.ScalarMult(p, ks[2]) }},                   // odd multiples + result
+			{"ScalarMultConstTime", 2, func() { c.ScalarMultConstTime(p, ks[3]) }}, // odd multiples + result
+			{"NewFixedBase", 1, func() { fb = c.NewFixedBase(p) }},
+			{"FixedBase.Mul", 1, func() { fb.Mul(ks[4]) }},
+			{"FixedBase.MulMany", 1, func() { fb.MulMany(ks) }},
+			{"FixedBase.MulConstTime (builds table)", 2, func() { fb.MulConstTime(ks[5]) }},
+			{"FixedBase.MulConstTime", 1, func() { fb.MulConstTime(ks[6]) }},
+			{"NewMultiExpTable", 1, func() { tab = c.NewMultiExpTable(points) }},
+			{"MultiExpTable.MultiExp", 1, func() { tab.MultiExp(ks[:3], 0) }},
+		}
+		for _, tc := range cases {
+			before := ff.InvOps()
+			tc.run()
+			if got := ff.InvOps() - before; got != tc.want {
+				t.Fatalf("%s: %s performed %d field inversions, want %d", name, tc.op, got, tc.want)
+			}
 		}
 	}
 }

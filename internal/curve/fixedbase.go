@@ -8,29 +8,24 @@ import (
 )
 
 // fixedBaseWindow is the radix-2^w digit width of a FixedBase table. Width 4
-// keeps the table at ⌈bits(r)/4⌉ × 15 affine points (≈ 150 KiB for the
+// keeps the table at ⌈bits(r)/4⌉ × 15 affine points (≈ 80 KiB for the
 // 512-bit paper parameters) while reducing a scalar multiplication to one
 // mixed addition per digit — no doublings at all.
 const fixedBaseWindow = 4
 
 // FixedBase is a precomputed table for repeated scalar multiplication of one
 // long-lived base point (the scheme's generators g, h, w). The table stores
-// d·2^(w·i)·P for every window position i and digit d, batch-normalized to
-// affine with a single field inversion, so Mul is a chain of ≈ bits(r)/w
-// mixed additions. Exponents are reduced modulo the subgroup order r, the
-// ScalarMultReduced semantics every IBBE call site uses.
+// d·2^(w·i)·P for every window position i and digit d, built in Jacobian
+// form on the limb core and batch-normalized to affine with a single field
+// inversion, so Mul is a chain of ≈ bits(r)/w mixed additions. Exponents are
+// reduced modulo the subgroup order r, the ScalarMultReduced semantics every
+// IBBE call site uses.
 //
 // A FixedBase is immutable after construction and safe for concurrent use.
 type FixedBase struct {
 	c     *Curve
 	base  *Point
-	table [][]*Point // table[i][d-1] = d · 2^(w·i) · base
-
-	// Montgomery-domain mirror of table, built lazily on first use so
-	// construction stays cheap for tables that only ever serve the big.Int
-	// path. Stays nil when the field is too wide for the limb core.
-	montOnce sync.Once
-	mtable   [][]montAffine
+	table [][]montAffine // table[i][d-1] = d · 2^(w·i) · base; nil for ∞
 
 	// Constant-time signed-odd-window table; see MulConstTime in ctmul.go.
 	ctOnce sync.Once
@@ -47,23 +42,24 @@ func (c *Curve) NewFixedBase(p *Point) *FixedBase {
 	}
 	const w = fixedBaseWindow
 	const per = (1 << w) - 1
+	m := c.mont()
 	nWin := (c.R.BitLen() + w - 1) / w
-	js := make([]*jacobianPoint, 0, nWin*per)
-	cur := c.toJacobian(p)
+	js := make([]montJac, 0, nWin*per)
+	cur := toMontJac(m, p)
 	for i := 0; i < nWin; i++ {
 		js = append(js, cur)
 		prev := cur
 		for d := 2; d <= per; d++ {
-			prev = c.jacobianAdd(prev, cur)
+			c.montAdd(m, &prev, &cur)
 			js = append(js, prev)
 		}
 		for b := 0; b < w; b++ {
-			cur = c.jacobianDouble(cur)
+			c.montDouble(m, &cur)
 		}
 	}
-	aff := c.batchNormalize(js)
-	fb.table = make([][]*Point, nWin)
-	for i := 0; i < nWin; i++ {
+	aff := c.batchNormalize(m, js)
+	fb.table = make([][]montAffine, nWin)
+	for i := range fb.table {
 		fb.table[i] = aff[i*per : (i+1)*per]
 	}
 	return fb
@@ -72,83 +68,29 @@ func (c *Curve) NewFixedBase(p *Point) *FixedBase {
 // Point returns (a copy of) the base point the table was built for.
 func (fb *FixedBase) Point() *Point { return fb.base.Clone() }
 
-// montTable returns the Montgomery-domain mirror of the window table,
-// building it once on first call; nil when the limb core is unavailable.
-func (fb *FixedBase) montTable() [][]montAffine {
-	fb.montOnce.Do(func() {
-		m := fb.c.mont()
-		if m == nil || fb.table == nil {
-			return
-		}
-		mt := make([][]montAffine, len(fb.table))
-		for i, row := range fb.table {
-			mt[i] = toMontAffineBatch(m, row)
-		}
-		fb.mtable = mt
-	})
-	return fb.mtable
-}
-
-// Mul returns (k mod r)·P using only table lookups and mixed additions.
-// When the field fits the limb core the whole digit walk runs in the
-// Montgomery domain and big.Int is touched only for the digit probe and the
-// final affine conversion.
+// Mul returns (k mod r)·P using only table lookups and mixed additions;
+// big.Int is touched only for the digit probe and the final affine
+// conversion.
 func (fb *FixedBase) Mul(k *big.Int) *Point {
-	c := fb.c
-	if m := c.mont(); m != nil {
-		if mt := fb.montTable(); mt != nil {
-			e := new(big.Int).Mod(k, c.R)
-			if fb.base.Inf || e.Sign() == 0 {
-				return c.Infinity()
-			}
-			acc := fb.montMulJac(m, mt, e)
-			return c.montFromJac(m, &acc)
-		}
-	}
-	return c.fromJacobian(fb.mulJacobian(k))
+	m := fb.c.mont()
+	acc := fb.mulJac(m, k)
+	return fb.c.montFromJac(m, &acc)
 }
 
-// montMulJac is the limb-domain digit walk over the mirror table. The caller
-// guarantees 0 < e < r and a non-infinity base.
-func (fb *FixedBase) montMulJac(m *ff.Mont, mt [][]montAffine, e *big.Int) montJac {
+// mulJac is Mul without the final normalisation, for batch callers.
+func (fb *FixedBase) mulJac(m *ff.Mont, k *big.Int) montJac {
 	const w = fixedBaseWindow
 	var acc montJac
 	acc.setInfinity(m)
-	for i := range mt {
-		d := 0
-		for b := 0; b < w; b++ {
-			d |= int(e.Bit(i*w+b)) << b
-		}
-		if d == 0 {
-			continue
-		}
-		fb.c.montAddAffine(m, &acc, &mt[i][d-1])
-	}
-	return acc
-}
-
-// mulJacobian is Mul without the final normalisation, for batch callers.
-func (fb *FixedBase) mulJacobian(k *big.Int) *jacobianPoint {
-	c := fb.c
-	e := new(big.Int).Mod(k, c.R)
-	if fb.base.Inf || e.Sign() == 0 {
-		return c.jacobianInfinity()
-	}
-	const w = fixedBaseWindow
-	acc := c.jacobianInfinity()
+	e := new(big.Int).Mod(k, fb.c.R)
 	for i := range fb.table {
 		d := 0
 		for b := 0; b < w; b++ {
 			d |= int(e.Bit(i*w+b)) << b
 		}
-		if d == 0 {
-			continue
+		if d != 0 {
+			fb.c.montAddAffine(m, &acc, &fb.table[i][d-1])
 		}
-		entry := fb.table[i][d-1]
-		if entry.Inf {
-			continue // only possible for low-order bases
-		}
-		acc = c.jacobianAddAffine(acc, entry.X, entry.Y)
 	}
 	return acc
 }
@@ -156,32 +98,20 @@ func (fb *FixedBase) mulJacobian(k *big.Int) *jacobianPoint {
 // MulMany computes (k mod r)·P for every scalar, sharing one batch
 // normalisation (a single field inversion) across all results. This is the
 // Setup fast path: the m+1 public-key powers of h come out of one table and
-// one inversion. With the limb core available the scalars are split into
-// contiguous chunks across at most MaxParallelism workers, each walking the
-// Montgomery mirror table independently; the results still share the single
-// batch normalisation.
+// one inversion. The scalars are split into contiguous chunks across at most
+// MaxParallelism workers, each walking the table independently.
 func (fb *FixedBase) MulMany(ks []*big.Int) []*Point {
-	c := fb.c
-	if m := c.mont(); m != nil {
-		if mt := fb.montTable(); mt != nil {
-			js := make([]*jacobianPoint, len(ks))
-			parallelRanges(len(ks), 8, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					e := new(big.Int).Mod(ks[i], c.R)
-					if fb.base.Inf || e.Sign() == 0 {
-						js[i] = c.jacobianInfinity()
-						continue
-					}
-					acc := fb.montMulJac(m, mt, e)
-					js[i] = c.montToJacobian(m, &acc)
-				}
-			})
-			return c.batchNormalize(js)
+	m := fb.c.mont()
+	js := make([]montJac, len(ks))
+	parallelRanges(len(ks), 8, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			js[i] = fb.mulJac(m, ks[i])
 		}
+	})
+	aff := fb.c.batchNormalize(m, js)
+	out := make([]*Point, len(aff))
+	for i := range aff {
+		out[i] = fromMontAffine(m, &aff[i])
 	}
-	js := make([]*jacobianPoint, len(ks))
-	for i, k := range ks {
-		js[i] = fb.mulJacobian(k)
-	}
-	return fb.c.batchNormalize(js)
+	return out
 }

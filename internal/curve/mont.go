@@ -9,14 +9,12 @@ import (
 	"github.com/ibbesgx/ibbesgx/internal/ff"
 )
 
-// This file is the limb-domain counterpart of jacobian.go: the same
-// dbl-2007-bl / madd-2007-bl / add-2007-bl formulas, but with every field
-// operation a fixed-width Montgomery limb operation instead of a
-// big.Int.Mul followed by a dividing Mod. Table entries convert into the
-// domain once at construction; scalar walks then run start to finish
-// without touching big.Int, converting back only for the final affine
-// result. Fields wider than ff.MaxLimbs·64 bits have no limb context and
-// every caller falls back to the big.Int path.
+// This file holds the curve's Jacobian arithmetic on the limb Montgomery
+// core: the dbl-2007-bl / madd-2007-bl / add-2007-bl formulas with every
+// field operation a fixed-width CIOS product instead of a big.Int.Mul
+// followed by a dividing Mod. Input points convert into the domain once;
+// tables are built, batch-normalised and walked without touching big.Int,
+// and only the final affine results convert back.
 
 // maxParallelism bounds the worker fan-out of the digit-parallel multi-
 // exponentiation paths (MultiExpTable.MultiExp, FixedBase.MulMany). It is a
@@ -52,28 +50,29 @@ type montJac struct {
 	x, y, z ff.Fel
 }
 
-// mont returns the curve's limb context (the base field's), or nil when the
-// field is too wide for the limb core.
+// mont returns the curve's limb context (the base field's).
 func (c *Curve) mont() *ff.Mont { return c.F.Mont() }
 
-// toMontAffine converts an affine big.Int point into the domain.
-func toMontAffine(m *ff.Mont, p *Point) montAffine {
+// toMontJac loads an affine big.Int point as a limb Jacobian point (Z = 1,
+// or Z = 0 for the identity).
+func toMontJac(m *ff.Mont, p *Point) montJac {
+	var j montJac
 	if p.Inf {
-		return montAffine{inf: true}
+		j.setInfinity(m)
+		return j
 	}
-	var a montAffine
-	m.FromBig(&a.x, p.X)
-	m.FromBig(&a.y, p.Y)
-	return a
+	m.FromBig(&j.x, p.X)
+	m.FromBig(&j.y, p.Y)
+	m.SetOne(&j.z)
+	return j
 }
 
-// toMontAffineBatch converts a table of affine points.
-func toMontAffineBatch(m *ff.Mont, pts []*Point) []montAffine {
-	out := make([]montAffine, len(pts))
-	for i, p := range pts {
-		out[i] = toMontAffine(m, p)
+// fromMontAffine converts a table entry back to a big.Int affine Point.
+func fromMontAffine(m *ff.Mont, a *montAffine) *Point {
+	if a.inf {
+		return &Point{Inf: true}
 	}
-	return out
+	return &Point{X: m.ToBig(&a.x), Y: m.ToBig(&a.y)}
 }
 
 // setInfinity marks j as the identity.
@@ -90,19 +89,64 @@ func (j *montJac) setAffine(m *ff.Mont, a *montAffine) {
 	m.SetOne(&j.z)
 }
 
-// montFromJac converts back to a big.Int affine Point (one field inversion).
+// montFromJac converts back to a big.Int affine Point (one field inversion,
+// none for the identity).
 func (c *Curve) montFromJac(m *ff.Mont, j *montJac) *Point {
-	return c.fromJacobian(c.montToJacobian(m, j))
+	a := c.batchNormalize(m, []montJac{*j})
+	return fromMontAffine(m, &a[0])
 }
 
-// montToJacobian decodes the limb coordinates into a big.Int Jacobian point,
-// the form batchNormalize consumes.
-func (c *Curve) montToJacobian(m *ff.Mont, j *montJac) *jacobianPoint {
-	return &jacobianPoint{x: m.ToBig(&j.x), y: m.ToBig(&j.y), z: m.ToBig(&j.z)}
+// batchNormalize converts js to affine with a single field inversion using
+// Montgomery's simultaneous-inversion trick: accumulate the product of all
+// non-zero Z's, invert once, then peel per-point inverses off the running
+// product back to front. N points cost one inversion plus 3(N−1)
+// multiplications instead of N inversions; a batch of identities costs none.
+func (c *Curve) batchNormalize(m *ff.Mont, js []montJac) []montAffine {
+	out := make([]montAffine, len(js))
+	prefix := make([]ff.Fel, len(js))
+	var acc ff.Fel
+	m.SetOne(&acc)
+	finite := 0
+	for i := range js {
+		if m.IsZero(&js[i].z) {
+			out[i].inf = true
+			continue
+		}
+		prefix[i] = acc // product of the Z's before this point
+		m.Mul(&acc, &acc, &js[i].z)
+		finite++
+	}
+	if finite == 0 {
+		return out
+	}
+	var inv ff.Fel
+	if !m.Inv(&inv, &acc) {
+		// Every factor is non-zero, so the product is invertible; reaching
+		// this means the points (or the field) are corrupt, and returning
+		// identities would let the corruption pass as a valid result.
+		panic("curve: batchNormalize: product of non-zero Z's is not invertible")
+	}
+	for i := len(js) - 1; i >= 0; i-- {
+		if out[i].inf {
+			continue
+		}
+		var zInv, zInv2, t ff.Fel
+		m.Mul(&zInv, &inv, &prefix[i]) // (Π_{s<i} z_s)·(Π_{s≤i} z_s)⁻¹ = z_i⁻¹
+		m.Mul(&inv, &inv, &js[i].z)    // drop z_i from the running inverse
+		m.Sqr(&zInv2, &zInv)
+		m.Mul(&out[i].x, &js[i].x, &zInv2)
+		m.Mul(&t, &zInv2, &zInv)
+		m.Mul(&out[i].y, &js[i].y, &t)
+	}
+	return out
 }
 
-// montDouble sets p = 2p in place: dbl-2007-bl for a = 1, identical to
-// jacobianDouble but with every Mul/Sqr a CIOS product.
+// montDouble sets p = 2p in place: dbl-2007-bl for a = 1 (curve y² = x³ + x):
+//
+//	S  = 4·X·Y²,  M = 3·X² + Z⁴
+//	X' = M² − 2S
+//	Y' = M·(S − X') − 8·Y⁴
+//	Z' = 2·Y·Z
 func (c *Curve) montDouble(m *ff.Mont, p *montJac) {
 	if m.IsZero(&p.z) || m.IsZero(&p.y) {
 		p.setInfinity(m)
@@ -185,7 +229,8 @@ func (c *Curve) montAddNegAffine(m *ff.Mont, p *montJac, q *montAffine) {
 	c.montAddAffine(m, p, &neg)
 }
 
-// montAdd sets p = p + q for two Jacobian points (add-2007-bl), used to fold
+// montAdd sets p = p + q for two Jacobian points (add-2007-bl), used to build
+// the precompute tables (whose intermediate points have Z ≠ 1) and to fold
 // the per-worker partial sums of the parallel walks.
 func (c *Curve) montAdd(m *ff.Mont, p, q *montJac) {
 	if m.IsZero(&q.z) {

@@ -16,12 +16,7 @@ import (
 // use.
 type MultiExpTable struct {
 	c   *Curve
-	odd [][]*Point // odd[i][j] = (2j+1) · points[i]
-
-	// Montgomery-domain mirror of odd, built lazily; nil when the limb core
-	// is unavailable for the curve's field.
-	montOnce sync.Once
-	modd     [][]montAffine
+	odd [][]montAffine // odd[i][j] = (2j+1) · points[i]
 }
 
 // NewMultiExpTable precomputes the odd multiples 1P_i, 3P_i, …,
@@ -29,27 +24,14 @@ type MultiExpTable struct {
 // inversion.
 func (c *Curve) NewMultiExpTable(points []*Point) *MultiExpTable {
 	const n = 1 << (scalarWindow - 2)
-	js := make([]*jacobianPoint, 0, len(points)*n)
+	m := c.mont()
+	js := make([]montJac, 0, len(points)*n)
 	for _, p := range points {
-		if p.Inf {
-			for j := 0; j < n; j++ {
-				js = append(js, c.jacobianInfinity())
-			}
-			continue
-		}
-		jp := c.toJacobian(p)
-		js = append(js, jp)
-		if n > 1 {
-			twoP := c.jacobianDouble(jp)
-			prev := jp
-			for j := 1; j < n; j++ {
-				prev = c.jacobianAdd(prev, twoP)
-				js = append(js, prev)
-			}
-		}
+		j := toMontJac(m, p)
+		js = c.appendOddMultiples(m, js, &j, n)
 	}
-	aff := c.batchNormalize(js)
-	odd := make([][]*Point, len(points))
+	aff := c.batchNormalize(m, js)
+	odd := make([][]montAffine, len(points))
 	for i := range points {
 		odd[i] = aff[i*n : (i+1)*n]
 	}
@@ -59,33 +41,15 @@ func (c *Curve) NewMultiExpTable(points []*Point) *MultiExpTable {
 // Len returns the number of base points in the table.
 func (t *MultiExpTable) Len() int { return len(t.odd) }
 
-// montOdd returns the Montgomery-domain mirror of the odd-multiple table,
-// building it once on first call; nil when the limb core is unavailable.
-func (t *MultiExpTable) montOdd() [][]montAffine {
-	t.montOnce.Do(func() {
-		m := t.c.mont()
-		if m == nil {
-			return
-		}
-		mo := make([][]montAffine, len(t.odd))
-		for i, row := range t.odd {
-			mo[i] = toMontAffineBatch(m, row)
-		}
-		t.modd = mo
-	})
-	return t.modd
-}
-
 // MultiExp returns Σ_i (scalars[i] mod r) · points[offset+i] via interleaved
 // Straus evaluation: the doubling chain is shared across every base, so n
 // scalars of b bits cost b doublings plus ≈ n·b/5 mixed additions instead of
 // n·(b doublings + b/2 additions) for n independent multiplications.
 // offset+len(scalars) must not exceed Len.
 //
-// With the limb core available the evaluation runs in the Montgomery domain
-// and, for large enough batches, is digit-parallel: the bases split into
-// contiguous chunks across at most MaxParallelism workers, each walking its
-// own doubling chain, and the per-chunk partial sums fold together with
+// For large enough batches the evaluation is digit-parallel: the bases split
+// into contiguous chunks across at most MaxParallelism workers, each walking
+// its own doubling chain, and the per-chunk partial sums fold together with
 // general Jacobian additions. The chunk doubling chains are redundant work,
 // but for the m ≥ 64 IBBE decrypt sizes the per-digit additions dominate and
 // the split wins wall-clock.
@@ -106,46 +70,17 @@ func (t *MultiExpTable) MultiExp(scalars []*big.Int, offset int) *Point {
 			maxLen = len(digits[i])
 		}
 	}
-	if m := c.mont(); m != nil {
-		if modd := t.montOdd(); modd != nil {
-			var acc montJac
-			acc.setInfinity(m)
-			var mu sync.Mutex
-			parallelRanges(len(digits), 16, func(lo, hi int) {
-				part := c.montWalkDigits(m, modd, digits, lo, hi, maxLen, offset)
-				mu.Lock()
-				c.montAdd(m, &acc, &part)
-				mu.Unlock()
-			})
-			return c.montFromJac(m, &acc)
-		}
-	}
-	acc := c.jacobianInfinity()
-	f := c.F
-	for b := maxLen - 1; b >= 0; b-- {
-		acc = c.jacobianDouble(acc)
-		for i, dg := range digits {
-			if b >= len(dg) || dg[b] == 0 {
-				continue
-			}
-			d := dg[b]
-			var e *Point
-			if d > 0 {
-				e = t.odd[offset+i][(d-1)/2]
-				if e.Inf {
-					continue
-				}
-				acc = c.jacobianAddAffine(acc, e.X, e.Y)
-			} else {
-				e = t.odd[offset+i][(-d-1)/2]
-				if e.Inf {
-					continue
-				}
-				acc = c.jacobianAddAffine(acc, e.X, f.Neg(e.Y))
-			}
-		}
-	}
-	return c.fromJacobian(acc)
+	m := c.mont()
+	var acc montJac
+	acc.setInfinity(m)
+	var mu sync.Mutex
+	parallelRanges(len(digits), 16, func(lo, hi int) {
+		part := c.montWalkDigits(m, t.odd, digits, lo, hi, maxLen, offset)
+		mu.Lock()
+		c.montAdd(m, &acc, &part)
+		mu.Unlock()
+	})
+	return c.montFromJac(m, &acc)
 }
 
 // MultiExp is the one-shot convenience form: it builds a throwaway table for

@@ -1,6 +1,10 @@
 package curve
 
-import "math/big"
+import (
+	"math/big"
+
+	"github.com/ibbesgx/ibbesgx/internal/ff"
+)
 
 // scalarWindow is the w-NAF width used by ScalarMult and the Straus
 // multi-exponentiation: digits are odd in ±{1, 3, …, 2^(w−1)−1}, so each
@@ -40,70 +44,20 @@ func wnafDigits(k *big.Int, w uint) []int8 {
 
 // oddMultiples returns [1P, 3P, 5P, …, (2n−1)P] in affine coordinates,
 // computed in Jacobian form and batch-normalized with a single inversion.
-func (c *Curve) oddMultiples(p *Point, n int) []*Point {
-	js := make([]*jacobianPoint, n)
-	js[0] = c.toJacobian(p)
-	if n > 1 {
-		twoP := c.jacobianDouble(js[0])
-		for i := 1; i < n; i++ {
-			js[i] = c.jacobianAdd(js[i-1], twoP)
-		}
-	}
-	return c.batchNormalize(js)
+func (c *Curve) oddMultiples(m *ff.Mont, p *Point, n int) []montAffine {
+	j := toMontJac(m, p)
+	return c.batchNormalize(m, c.appendOddMultiples(m, make([]montJac, 0, n), &j, n))
 }
 
-// scalarMultJacobian is the w-NAF ladder shared by ScalarMult and callers
-// that want to defer normalisation (batch contexts). The scalar must be
-// non-negative; the point may be any curve point. When the limb core is
-// available the digit walk runs in the Montgomery domain: the freshly
-// normalised odd multiples convert in once and every doubling and addition
-// is a CIOS product.
-func (c *Curve) scalarMultJacobian(p *Point, k *big.Int) *jacobianPoint {
-	if p.Inf || k.Sign() == 0 {
-		return c.jacobianInfinity()
+// appendOddMultiples appends the Jacobian multiples 1P, 3P, …, (2n−1)P to js
+// (n identities when P is the identity).
+func (c *Curve) appendOddMultiples(m *ff.Mont, js []montJac, p *montJac, n int) []montJac {
+	cur, two := *p, *p
+	c.montDouble(m, &two)
+	js = append(js, cur)
+	for j := 1; j < n; j++ {
+		c.montAdd(m, &cur, &two)
+		js = append(js, cur)
 	}
-	odd := c.oddMultiples(p, 1<<(scalarWindow-2))
-	digits := wnafDigits(k, scalarWindow)
-	if m := c.mont(); m != nil {
-		modd := toMontAffineBatch(m, odd)
-		var acc montJac
-		acc.setInfinity(m)
-		for i := len(digits) - 1; i >= 0; i-- {
-			c.montDouble(m, &acc)
-			d := digits[i]
-			if d == 0 {
-				continue
-			}
-			if d > 0 {
-				c.montAddAffine(m, &acc, &modd[(d-1)/2])
-			} else {
-				c.montAddNegAffine(m, &acc, &modd[(-d-1)/2])
-			}
-		}
-		return c.montToJacobian(m, &acc)
-	}
-	acc := c.jacobianInfinity()
-	f := c.F
-	for i := len(digits) - 1; i >= 0; i-- {
-		acc = c.jacobianDouble(acc)
-		d := digits[i]
-		if d == 0 {
-			continue
-		}
-		var e *Point
-		if d > 0 {
-			e = odd[(d-1)/2]
-			if e.Inf {
-				continue // (2j+1)·P = ∞ for low-order P: adding ∞ is a no-op
-			}
-			acc = c.jacobianAddAffine(acc, e.X, e.Y)
-		} else {
-			e = odd[(-d-1)/2]
-			if e.Inf {
-				continue
-			}
-			acc = c.jacobianAddAffine(acc, e.X, f.Neg(e.Y))
-		}
-	}
-	return acc
+	return js
 }

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"sync"
 )
 
 // Common errors returned by field operations.
@@ -28,6 +27,9 @@ var (
 	ErrNotInvertible = errors.New("ff: element is not invertible")
 	// ErrBadEncoding reports a malformed fixed-width field-element encoding.
 	ErrBadEncoding = errors.New("ff: bad field element encoding")
+	// ErrModulusTooWide reports a modulus wider than the MaxLimbs·64 bits
+	// the limb Montgomery core, and so every fast path, can hold.
+	ErrModulusTooWide = errors.New("ff: modulus wider than the limb core")
 )
 
 // Field is the prime field F_q for a prime q ≡ 3 (mod 4).
@@ -40,10 +42,8 @@ type Field struct {
 	// byteLen is the fixed serialisation width of one element.
 	byteLen int
 
-	// mont is the lazily-built limb Montgomery context (nil for moduli wider
-	// than MaxLimbs·64 bits); see Mont().
-	montOnce sync.Once
-	mont     *Mont
+	// mont is the limb Montgomery context; see Mont().
+	mont *Mont
 }
 
 // NewField constructs the field F_p. It returns an error unless p is an odd
@@ -56,12 +56,19 @@ func NewField(p *big.Int) (*Field, error) {
 	return NewFieldUnchecked(p)
 }
 
-// NewFieldUnchecked constructs F_p for any odd probable prime p, without the
-// p ≡ 3 (mod 4) requirement. Sqrt must not be used on such a field; it is
-// intended for scalar fields like Z_r where only ring arithmetic is needed.
+// NewFieldUnchecked constructs F_p for any odd probable prime p of at most
+// MaxLimbs·64 bits, without the p ≡ 3 (mod 4) requirement. Sqrt must not be
+// used on such a field; it is intended for scalar fields like Z_r where only
+// ring arithmetic is needed. Wider moduli fail with ErrModulusTooWide.
 func NewFieldUnchecked(p *big.Int) (*Field, error) {
 	if p == nil || p.Sign() <= 0 {
 		return nil, errors.New("ff: modulus must be a positive prime")
+	}
+	if p.BitLen() > 64*MaxLimbs {
+		return nil, fmt.Errorf("%w: %d bits, at most %d supported", ErrModulusTooWide, p.BitLen(), 64*MaxLimbs)
+	}
+	if p.Bit(0) == 0 {
+		return nil, errors.New("ff: modulus must be an odd prime")
 	}
 	if !p.ProbablyPrime(20) {
 		return nil, errors.New("ff: modulus is not prime")
@@ -76,6 +83,7 @@ func NewFieldUnchecked(p *big.Int) (*Field, error) {
 		sqrtExp: sqrtExp,
 		legExp:  legExp,
 		byteLen: (p.BitLen() + 7) / 8,
+		mont:    newMont(p),
 	}, nil
 }
 

@@ -17,14 +17,14 @@ import (
 // anywhere — and addition/subtraction are branchless limb chains with a
 // masked conditional subtract, so the word-level work is also constant-time.
 //
-// Conversion in and out of the domain happens only at boundaries (point and
-// field-element (de)serialisation, table construction); interior arithmetic
-// in the Miller loop, the fixed-base/Straus walks and the GT ladders never
-// touches big.Int.
+// Conversion in and out of the domain happens only at boundaries (the
+// big.Int inputs and results of point and field-element operations);
+// interior arithmetic in the Miller loop, the table builds, the
+// fixed-base/Straus walks and the GT ladders never touches big.Int.
 
 // MaxLimbs bounds the modulus width the limb core supports: 8 limbs cover
-// the 512-bit paper parameters exactly. Wider fields fall back to the
-// big.Int path (Field.Mont returns nil).
+// the 512-bit paper parameters exactly. NewField rejects wider moduli with
+// ErrModulusTooWide, so every Field has a limb context.
 const MaxLimbs = 8
 
 // Fel is a fixed-width field element: MaxLimbs little-endian 64-bit limbs,
@@ -58,13 +58,9 @@ var invOps atomic.Int64
 // readings around an operation under test.
 func InvOps() int64 { return invOps.Load() }
 
-// newMont builds the Montgomery context for an odd modulus p, or returns nil
-// when p is even or wider than MaxLimbs·64 bits (the caller falls back to
-// big.Int arithmetic).
+// newMont builds the Montgomery context for an odd positive modulus p of at
+// most MaxLimbs·64 bits; NewFieldUnchecked validates both before calling.
 func newMont(p *big.Int) *Mont {
-	if p == nil || p.Sign() <= 0 || p.Bit(0) == 0 || p.BitLen() > 64*MaxLimbs {
-		return nil
-	}
 	m := &Mont{
 		k: (p.BitLen() + 63) / 64,
 		p: new(big.Int).Set(p),
@@ -307,10 +303,5 @@ func (m *Mont) Exp(dst, a *Fel, e *big.Int) {
 	*dst = acc
 }
 
-// Mont returns the limb Montgomery context for the field, built lazily on
-// first use, or nil when the modulus exceeds MaxLimbs·64 bits (callers fall
-// back to the big.Int path).
-func (f *Field) Mont() *Mont {
-	f.montOnce.Do(func() { f.mont = newMont(f.p) })
-	return f.mont
-}
+// Mont returns the limb Montgomery context for the field; it is never nil.
+func (f *Field) Mont() *Mont { return f.mont }

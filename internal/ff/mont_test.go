@@ -1,6 +1,7 @@
 package ff
 
 import (
+	"errors"
 	"math/big"
 	"testing"
 )
@@ -165,6 +166,17 @@ func TestMontE2MatchesExt(t *testing.T) {
 				if got, want := m.E2ToE2(&out), ext.Conj(x); !ext.Equal(got, want) {
 					t.Fatalf("E2Conj: got %v want %v", got, want)
 				}
+				if ok := m.E2Inv(&out, &xm); ok == ext.IsZero(x) {
+					t.Fatalf("E2Inv invertibility mismatch for %v", x)
+				} else if ok {
+					want, err := ext.Inv(x)
+					if err != nil {
+						t.Fatalf("ext.Inv: %v", err)
+					}
+					if got := m.E2ToE2(&out); !ext.Equal(got, want) {
+						t.Fatalf("E2Inv: got %v want %v", got, want)
+					}
+				}
 				var c0, c1 Fel
 				m.FromBig(&c0, y.A)
 				m.FromBig(&c1, y.B)
@@ -211,19 +223,36 @@ func TestMontSelectAndCondNeg(t *testing.T) {
 	}
 }
 
-func TestMontNilForWideModulus(t *testing.T) {
-	// A 1000-bit prime is out of the limb core's range: callers must see
-	// nil and fall back to big.Int arithmetic rather than corrupt limbs.
+func TestNewFieldRejectsWideModulus(t *testing.T) {
+	// A 1000-bit prime is out of the limb core's range: construction must
+	// fail with the named error instead of building a field with no fast
+	// arithmetic behind it.
 	p := new(big.Int).Lsh(big.NewInt(1), 1000)
-	p.Add(p, big.NewInt(1))
+	p.Add(p, big.NewInt(3))
 	for !p.ProbablyPrime(20) {
-		p.Add(p, big.NewInt(2))
+		p.Add(p, big.NewInt(4)) // stay ≡ 3 (mod 4) so only the width is wrong
 	}
-	f, err := NewFieldUnchecked(p)
+	if _, err := NewFieldUnchecked(p); !errors.Is(err, ErrModulusTooWide) {
+		t.Fatalf("NewFieldUnchecked(1000-bit prime) = %v, want ErrModulusTooWide", err)
+	}
+	if _, err := NewField(p); !errors.Is(err, ErrModulusTooWide) {
+		t.Fatalf("NewField(1000-bit prime) = %v, want ErrModulusTooWide", err)
+	}
+	// The limb core also needs an odd modulus: 2 is prime but even.
+	if _, err := NewFieldUnchecked(big.NewInt(2)); err == nil {
+		t.Fatal("NewFieldUnchecked accepted the even prime 2")
+	}
+	// The widest supported modulus still builds, with a limb context.
+	top := new(big.Int).Lsh(big.NewInt(1), 64*MaxLimbs)
+	top.Sub(top, big.NewInt(1))
+	for !top.ProbablyPrime(20) {
+		top.Sub(top, big.NewInt(4))
+	}
+	f, err := NewField(top)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("NewField(%d-bit prime): %v", top.BitLen(), err)
 	}
-	if f.Mont() != nil {
-		t.Fatal("Mont() must be nil beyond MaxLimbs")
+	if f.Mont() == nil {
+		t.Fatal("Mont() is nil for a supported modulus")
 	}
 }

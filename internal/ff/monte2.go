@@ -3,10 +3,10 @@ package ff
 import "math/big"
 
 // Montgomery-domain arithmetic for F_q² = F_q[i]/(i²+1), the limb-core
-// counterpart of e2.go/e2inplace.go. An E2Fel carries both coordinates as
-// fixed-width limb vectors in the Montgomery domain; the projective Miller
-// loop, the final exponentiation and the GT ladders run entirely on these,
-// converting to big.Int-backed E2 values only at their boundaries.
+// counterpart of e2.go. An E2Fel carries both coordinates as fixed-width limb
+// vectors in the Montgomery domain; the projective Miller loop, the final
+// exponentiation and the GT ladders run entirely on these, converting to
+// big.Int-backed E2 values only at their boundaries.
 
 // E2Fel is a + b·i with both coordinates in the Montgomery domain. Like Fel
 // it is a value type: copies don't alias and temporaries live on the stack.
@@ -82,12 +82,32 @@ func (m *Mont) E2Conj(dst, x *E2Fel) {
 	m.Neg(&dst.B, &x.B)
 }
 
-// e2ExpWindowWidth mirrors expWindowWidth for the limb ladder.
+// E2Inv sets dst = x⁻¹ = x̄ / (a² + b²) with one base-field inversion and
+// reports whether x was invertible (non-zero). dst may alias x.
+func (m *Mont) E2Inv(dst, x *E2Fel) bool {
+	var n, t Fel
+	m.Sqr(&n, &x.A)
+	m.Sqr(&t, &x.B)
+	m.Add(&n, &n, &t)
+	if !m.Inv(&n, &n) {
+		return false
+	}
+	m.Mul(&dst.A, &x.A, &n)
+	m.Mul(&t, &x.B, &n)
+	m.Neg(&dst.B, &t)
+	return true
+}
+
+// e2ExpWindowWidth is the sliding-window width of E2ExpWindowed: 2^(w−1) odd
+// powers are precomputed and each non-zero window saves up to w−1
+// multiplications over square-and-multiply.
 const e2ExpWindowWidth = 4
 
-// E2ExpWindowed sets dst = x^e for a non-negative exponent using the same
-// width-4 sliding window as Ext.ExpWindowed, with every squaring and
-// multiplication a limb-domain operation. The exponent's bits are public in
+// E2ExpWindowed sets dst = x^e for a non-negative exponent using a width-4
+// sliding window: one squaring per exponent bit plus one multiplication per
+// non-zero window (≈ bitlen/5 on average), against one per set bit for the
+// square-and-multiply Ext.Exp, with every squaring and multiplication a
+// limb-domain operation. The exponent's bits are public in
 // every call site (GT exponents are reduced mod r, the final-exponentiation
 // hard part is a system constant), so the data-dependent window walk leaks
 // nothing secret.

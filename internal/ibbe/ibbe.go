@@ -52,12 +52,15 @@ type Scheme struct {
 	P       *pairing.Params
 	Metrics *Metrics
 
-	// DisableFastPath forces the reference arithmetic everywhere: plain
+	// DisableFastPath forces the reference arithmetic everywhere: affine
 	// double-and-add scalar multiplication, the coefficient-by-coefficient
-	// HPowers loop, square-and-multiply GT exponentiation, and uncached
-	// identity hashing. The differential tests pin the fast path against
-	// this mode bit-for-bit, and the crypto benchmark uses it as the
-	// "old path" arm. Leave it false in production.
+	// HPowers loop, square-and-multiply GT exponentiation, the affine
+	// reference pairing, big.Int Z_r polynomial arithmetic and uncached
+	// identity hashing. Only the primitive helpers read it (metrics.go,
+	// HashID, expandProductPoly, prodGammaPlusHash, multiExpHPowers); every
+	// scheme operation has one body. The differential tests pin the fast
+	// path against this mode bit-for-bit, and the crypto benchmark uses it
+	// as the "old path" arm. Leave it false in production.
 	DisableFastPath bool
 
 	// Identity-hash memo (HashID is deterministic, so caching is safe).
@@ -247,31 +250,13 @@ func (s *Scheme) Setup(m int, rng io.Reader) (*MasterSecretKey, *PublicKey, erro
 		W: s.expG1(g, gamma),
 		V: s.pair(g, h),
 	}
-	if s.DisableFastPath {
-		pk.HPowers = make([]*curve.Point, m+1)
-		acc := big.NewInt(1)
-		for i := 0; i <= m; i++ {
-			pk.HPowers[i] = s.expG1(h, acc)
-			acc = s.P.Zr.Mul(acc, gamma)
-		}
-		return msk, pk, nil
-	}
-	// Fast path: one fixed-base table for h serves all m+1 powers (each is
-	// ≈ bits(r)/4 mixed additions, no doublings), and the results share a
-	// single batch normalisation instead of one inversion per point. The
-	// table is kept on the public key, pre-warming the EncryptMSK hot path.
-	fb := s.P.G1.NewFixedBase(h)
 	exps := make([]*big.Int, m+1)
 	acc := big.NewInt(1)
-	for i := 0; i <= m; i++ {
+	for i := range exps {
 		exps[i] = acc
 		acc = s.P.Zr.Mul(acc, gamma)
 	}
-	if s.Metrics != nil {
-		s.Metrics.G1Exp.Add(int64(m + 1))
-	}
-	pk.HPowers = fb.MulMany(exps)
-	pk.pre.hOnce.Do(func() { pk.pre.h = fb })
+	pk.HPowers = s.expHPowers(pk, h, exps)
 	return msk, pk, nil
 }
 
@@ -309,27 +294,15 @@ func (s *Scheme) EncryptMSK(msk *MasterSecretKey, pk *PublicKey, ids []string, r
 		return nil, nil, fmt.Errorf("ibbe: drawing k: %w", err)
 	}
 	prod := s.prodGammaPlusHash(msk.Gamma, ids)
-	if s.DisableFastPath {
-		h := pk.HPowers[0]
-		ct := &Ciphertext{
-			C1: s.expG1(pk.W, zr.Neg(k)),
-			C2: s.expG1(h, s.mulZr(k, prod)),
-			C3: s.expG1(h, prod),
-		}
-		bk := s.expGT(pk.V, k)
-		return bk, ct, nil
-	}
-	// Fast path: all three header points are powers of the long-lived
-	// generators w and h, and bk is a power of v — every exponentiation is
-	// table-driven.
-	fbH := s.fbH(pk)
+	// All three header points are powers of the long-lived generators w and
+	// h, and bk is a power of v: every exponentiation rides a fixed base.
+	h := pk.HPowers[0]
 	ct := &Ciphertext{
-		C1: s.expFixed(s.fbW(pk), zr.Neg(k)),
-		C2: s.expFixed(fbH, s.mulZr(k, prod)),
-		C3: s.expFixed(fbH, prod),
+		C1: s.expFixed(pk, s.fbW, pk.W, zr.Neg(k)),
+		C2: s.expFixed(pk, s.fbH, h, s.mulZr(k, prod)),
+		C3: s.expFixed(pk, s.fbH, h, prod),
 	}
-	bk := s.expGTFixed(s.fbV(pk), k)
-	return bk, ct, nil
+	return s.expV(pk, k), ct, nil
 }
 
 // EncryptClassic is the traditional IBBE encryption that only uses PK: it
@@ -350,21 +323,7 @@ func (s *Scheme) EncryptClassic(pk *PublicKey, ids []string, rng io.Reader) (*Br
 	coeffs := s.expandProductPoly(ids) // O(n²)
 	// C3 = h^Π(γ+H(u)) = Σ_i coeffs[i]·HPowers[i] in additive notation.
 	c3 := s.multiExpHPowers(pk, coeffs, 0)
-	if s.DisableFastPath {
-		ct := &Ciphertext{
-			C1: s.expG1(pk.W, s.P.Zr.Neg(k)),
-			C2: s.expG1(c3, k),
-			C3: c3,
-		}
-		bk := s.expGT(pk.V, k)
-		return bk, ct, nil
-	}
-	ct := &Ciphertext{
-		C1: s.expFixed(s.fbW(pk), s.P.Zr.Neg(k)),
-		C2: s.expG1(c3, k), // fresh base: no table pays off for one use
-		C3: c3,
-	}
-	bk := s.expGTFixed(s.fbV(pk), k)
+	bk, ct := s.rotateHeader(pk, c3, k)
 	return bk, ct, nil
 }
 
@@ -464,18 +423,13 @@ func (s *Scheme) RemoveUsers(msk *MasterSecretKey, pk *PublicKey, ct *Ciphertext
 	return bk, out, nil
 }
 
-// rotateHeader assembles the rotated header (C1 = w^−k, C2 = C3^k) and fresh
-// broadcast key bk = v^k for an established C3 — the shared tail of Rekey
-// and both Remove operations. C1 and bk ride the w and v fixed-base tables;
-// C2's base C3 changes every call, so it takes the generic windowed path.
+// rotateHeader assembles the header (C1 = w^−k, C2 = C3^k) and broadcast
+// key bk = v^k for an established C3 — the shared tail of EncryptClassic,
+// Rekey and both Remove operations. C1 and bk ride the w and v fixed bases;
+// C2's base C3 changes every call, so it takes the generic path.
 func (s *Scheme) rotateHeader(pk *PublicKey, c3 *curve.Point, k *big.Int) (*BroadcastKey, *Ciphertext) {
-	zr := s.P.Zr
-	if s.DisableFastPath {
-		out := &Ciphertext{C1: s.expG1(pk.W, zr.Neg(k)), C2: s.expG1(c3, k), C3: c3}
-		return s.expGT(pk.V, k), out
-	}
-	out := &Ciphertext{C1: s.expFixed(s.fbW(pk), zr.Neg(k)), C2: s.expG1(c3, k), C3: c3}
-	return s.expGTFixed(s.fbV(pk), k), out
+	out := &Ciphertext{C1: s.expFixed(pk, s.fbW, pk.W, s.P.Zr.Neg(k)), C2: s.expG1(c3, k), C3: c3}
+	return s.expV(pk, k), out
 }
 
 // RemoveUser revokes id and re-keys in O(1) using the master secret
@@ -516,14 +470,12 @@ func (s *Scheme) Rekey(pk *PublicKey, ct *Ciphertext, rng io.Reader) (*Broadcast
 // The fast path runs the whole O(n²) recurrence in the Montgomery limb
 // domain of Z_r — the hashes convert in once each, the coefficients convert
 // out once at the end, and the n²/2 interior multiplications never touch
-// big.Int. Metrics still count one Z_r multiplication per interior step, so
-// the Table I complexity shapes are unchanged.
+// big.Int. Both paths count one Z_r multiplication per interior step, so
+// the Table I complexity shapes are the same.
 func (s *Scheme) expandProductPoly(ids []string) []*big.Int {
 	zr := s.P.Zr
 	if !s.DisableFastPath {
-		if m := zr.Mont(); m != nil {
-			return s.expandProductPolyMont(m, ids)
-		}
+		return s.expandProductPolyMont(zr.Mont(), ids)
 	}
 	coeffs := make([]*big.Int, 1, len(ids)+1)
 	coeffs[0] = big.NewInt(1)
@@ -580,20 +532,19 @@ func (s *Scheme) expandProductPolyMont(m *ff.Mont, ids []string) []*big.Int {
 func (s *Scheme) prodGammaPlusHash(gamma *big.Int, ids []string) *big.Int {
 	zr := s.P.Zr
 	if !s.DisableFastPath {
-		if m := zr.Mont(); m != nil {
-			var acc, g, t ff.Fel
-			m.SetOne(&acc)
-			m.FromBig(&g, gamma)
-			for _, id := range ids {
-				m.FromBig(&t, s.HashID(id))
-				m.Add(&t, &t, &g)
-				m.Mul(&acc, &acc, &t)
-			}
-			if s.Metrics != nil {
-				s.Metrics.ZrMul.Add(int64(len(ids)))
-			}
-			return m.ToBig(&acc)
+		m := zr.Mont()
+		var acc, g, t ff.Fel
+		m.SetOne(&acc)
+		m.FromBig(&g, gamma)
+		for _, id := range ids {
+			m.FromBig(&t, s.HashID(id))
+			m.Add(&t, &t, &g)
+			m.Mul(&acc, &acc, &t)
 		}
+		if s.Metrics != nil {
+			s.Metrics.ZrMul.Add(int64(len(ids)))
+		}
+		return m.ToBig(&acc)
 	}
 	prod := big.NewInt(1)
 	for _, id := range ids {

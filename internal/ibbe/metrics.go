@@ -69,13 +69,38 @@ func (s *Scheme) expG1(p *curve.Point, k *big.Int) *curve.Point {
 	return s.P.G1.ScalarMultReduced(p, k)
 }
 
-// expFixed is expG1 through a precomputed fixed-base table; it counts as the
-// same one G1 exponentiation.
-func (s *Scheme) expFixed(fb *curve.FixedBase, k *big.Int) *curve.Point {
+// expFixed is expG1 for a long-lived public-key base: the fast path walks
+// the base's fixed-base table (table(pk), built on first use), the reference
+// path takes expG1's binary ladder. Either way it counts as one G1
+// exponentiation.
+func (s *Scheme) expFixed(pk *PublicKey, table func(*PublicKey) *curve.FixedBase, base *curve.Point, k *big.Int) *curve.Point {
+	if s.DisableFastPath {
+		return s.expG1(base, k)
+	}
 	if s.Metrics != nil {
 		s.Metrics.G1Exp.Add(1)
 	}
-	return fb.Mul(k)
+	return table(pk).Mul(k)
+}
+
+// expHPowers returns h^exps[i] for every exponent, counting one G1
+// exponentiation each — Setup's public-key powers. The fast path walks one
+// fixed-base table for h and shares a single batch normalisation across all
+// results; the table is kept on pk, pre-warming the EncryptMSK hot path.
+func (s *Scheme) expHPowers(pk *PublicKey, h *curve.Point, exps []*big.Int) []*curve.Point {
+	if s.DisableFastPath {
+		out := make([]*curve.Point, len(exps))
+		for i, e := range exps {
+			out[i] = s.expG1(h, e)
+		}
+		return out
+	}
+	if s.Metrics != nil {
+		s.Metrics.G1Exp.Add(int64(len(exps)))
+	}
+	fb := s.P.G1.NewFixedBase(h)
+	pk.pre.hOnce.Do(func() { pk.pre.h = fb })
+	return fb.MulMany(exps)
 }
 
 // expG1Secret is expG1 for MSK-derived exponents (key extraction): the fast
@@ -103,13 +128,17 @@ func (s *Scheme) expGT(a *pairing.GT, k *big.Int) *pairing.GT {
 	return s.P.GTExp(a, k)
 }
 
-// expGTFixed is expGT through a precomputed GT table; it counts as the same
-// one GT exponentiation.
-func (s *Scheme) expGTFixed(t *pairing.GTFixedBase, k *big.Int) *pairing.GT {
+// expV returns v^k for the public key's v = e(g, h): the fast path walks
+// v's GT fixed-base table (built on first use), the reference path takes
+// expGT's binary ladder. Either way it counts as one GT exponentiation.
+func (s *Scheme) expV(pk *PublicKey, k *big.Int) *pairing.GT {
+	if s.DisableFastPath {
+		return s.expGT(pk.V, k)
+	}
 	if s.Metrics != nil {
 		s.Metrics.GTExp.Add(1)
 	}
-	return t.Exp(k)
+	return s.fbV(pk).Exp(k)
 }
 
 func (s *Scheme) pair(p, q *curve.Point) *pairing.GT {

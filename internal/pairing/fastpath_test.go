@@ -61,9 +61,6 @@ func TestPairMatchesReference(t *testing.T) {
 func TestPairFastPathInversionCount(t *testing.T) {
 	for _, p := range allParams() {
 		t.Run(p.Name(), func(t *testing.T) {
-			if p.F.Mont() == nil {
-				t.Skip("limb core unavailable for this field width")
-			}
 			P, err := p.G1.RandPoint(rand.Reader)
 			if err != nil {
 				t.Fatalf("RandPoint: %v", err)
@@ -142,6 +139,35 @@ func TestGTFixedBaseExpMatchesGTExp(t *testing.T) {
 				want := p.GTExpBinary(base, k)
 				if string(p.GTMarshal(got)) != string(p.GTMarshal(want)) {
 					t.Fatalf("GTFixedBase.Exp(%v) diverges from binary ladder", k)
+				}
+			}
+		})
+	}
+}
+
+// TestGTLimbPathsInvertNothing pins the GT exponentiation paths at zero
+// field inversions (ff.InvOps): GTExp, the GTFixedBase build and its Exp all
+// stay on limb multiplications and squarings.
+func TestGTLimbPathsInvertNothing(t *testing.T) {
+	for _, p := range allParams() {
+		t.Run(p.Name(), func(t *testing.T) {
+			P, _ := p.G1.RandPoint(rand.Reader)
+			Q, _ := p.G1.RandPoint(rand.Reader)
+			base := p.Pair(P, Q)
+			k := new(big.Int).Sub(p.R, big.NewInt(3))
+			var tab *GTFixedBase
+			for _, tc := range []struct {
+				op  string
+				run func()
+			}{
+				{"GTExp", func() { p.GTExp(base, k) }},
+				{"NewGTFixedBase", func() { tab = p.NewGTFixedBase(base) }},
+				{"GTFixedBase.Exp", func() { tab.Exp(k) }},
+			} {
+				before := ff.InvOps()
+				tc.run()
+				if got := ff.InvOps() - before; got != 0 {
+					t.Fatalf("%s performed %d field inversions, want 0", tc.op, got)
 				}
 			}
 		})

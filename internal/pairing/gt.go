@@ -32,29 +32,28 @@ func (p *Params) GTInv(a *GT) *GT {
 }
 
 // GTExp returns a^k with the exponent reduced modulo r (GT has order r).
-// The ladder is the width-4 sliding window over the scratch-reusing F_q²
-// primitives: one squaring per bit plus ≈ bits/5 multiplications, none of
-// which allocate fresh elements.
+// The ladder is the width-4 sliding window on the limb core: the element
+// converts in once, every squaring and multiplication is a CIOS product, and
+// the result converts out once.
 func (p *Params) GTExp(a *GT, k *big.Int) *GT {
-	e := new(big.Int).Mod(k, p.R)
-	out, err := p.E2.ExpWindowed(a.v, e)
-	if err != nil {
-		// Unreachable: e ≥ 0 after the reduction, and non-negative exponents
-		// cannot fail. Silently returning the identity here would hand out a
-		// predictable broadcast key, so fail loud instead.
-		panic("pairing: GTExp: " + err.Error())
-	}
-	return &GT{v: out}
+	m := p.F.Mont()
+	var x ff.E2Fel
+	m.E2FromE2(&x, a.v)
+	m.E2ExpWindowed(&x, &x, new(big.Int).Mod(k, p.R))
+	return &GT{v: m.E2ToE2(&x)}
 }
 
-// GTExpBinary is the square-and-multiply reference ladder GTExp used before
-// the windowed fast path; the differential tests pin GTExp against it and
-// the crypto benchmark uses it as the "old path" arm.
+// GTExpBinary is the square-and-multiply reference ladder over the
+// immutable big.Int F_q² operations; the differential tests pin GTExp and
+// GTFixedBase against it and the crypto benchmark uses it as the "old path"
+// arm.
 func (p *Params) GTExpBinary(a *GT, k *big.Int) *GT {
 	e := new(big.Int).Mod(k, p.R)
 	out, err := p.E2.Exp(a.v, e)
 	if err != nil {
-		// Unreachable, and fail-loud for the same reason as GTExp.
+		// Unreachable: e ≥ 0 after the reduction, and non-negative exponents
+		// cannot fail. Silently returning the identity here would hand out a
+		// predictable broadcast key, so fail loud instead.
 		panic("pairing: GTExpBinary: " + err.Error())
 	}
 	return &GT{v: out}

@@ -26,12 +26,9 @@ var ErrDegenerate = errors.New("pairing: degenerate Miller value")
 // millerLoop evaluates f_{r,P} at φ(Q) using a double-and-add walk over the
 // bits of r. Line functions through points of E(F_q) evaluated at
 // φ(Q) = (−x_Q, i·y_Q) take the sparse form (c₀ + y_Q·i) with c₀ ∈ F_q.
-//
-// The accumulator f is updated in place through an E2Scratch (SqrInto and a
-// sparse MulInto), and each step shares one field inversion between the line
-// slope λ and the point update it implies — the chord/tangent formulas reuse
-// the same λ — so an iteration allocates a handful of small big.Ints instead
-// of rebuilding every intermediate.
+// Every step runs on the immutable big.Int F_q² operations and shares one
+// field inversion between the line slope λ and the point update it implies —
+// the chord/tangent formulas reuse the same λ.
 func (p *Params) millerLoop(P, Q *curve.Point) *ff.E2 {
 	fq := p.F
 	e2 := p.E2
@@ -40,20 +37,19 @@ func (p *Params) millerLoop(P, Q *curve.Point) *ff.E2 {
 	yQ := Q.Y             // imaginary y-coordinate of φ(Q)
 
 	f := e2.One()
-	sc := ff.NewE2Scratch()
 	T := P.Clone()
 	r := p.R
 	for i := r.BitLen() - 2; i >= 0; i-- {
-		e2.SqrInto(sc, f, f)
+		f = e2.Sqr(f)
 		c0, next := p.stepDouble(T, xPrime)
 		if c0 != nil {
-			e2.MulSparseInto(sc, f, f, c0, yQ)
+			f = e2.Mul(f, &ff.E2{A: c0, B: yQ})
 		}
 		T = next
 		if r.Bit(i) == 1 {
 			c0, next = p.stepAdd(T, P, xPrime)
 			if c0 != nil {
-				e2.MulSparseInto(sc, f, f, c0, yQ)
+				f = e2.Mul(f, &ff.E2{A: c0, B: yQ})
 			}
 			T = next
 		}
@@ -117,29 +113,23 @@ func (p *Params) stepAdd(T, P *curve.Point, xPrime *big.Int) (*big.Int, *curve.P
 	return c0, &curve.Point{X: x3, Y: y3}
 }
 
-// finalExp raises a Miller value to (q²−1)/r = (q−1)·h, using the Frobenius
-// (conjugation in F_q²) for the (q−1) part: f^(q−1) = f̄ · f⁻¹. The hard
-// part f^h runs through the windowed ladder, which matters because h is as
-// wide as q−r (352 bits on the paper parameters).
-func (p *Params) finalExp(f *ff.E2) *GT {
-	e2 := p.E2
-	if e2.IsZero(f) {
-		// Degenerate inputs (outside the prime-order subgroup); the identity
-		// is the only sensible total answer and callers in this module never
-		// feed such inputs.
+// finalExp raises a Miller value to (q²−1)/r = (q−1)·h on the limb core,
+// using the Frobenius (conjugation in F_q²) for the (q−1) part:
+// f^(q−1) = f̄ · f⁻¹, the evaluation's one field inversion. The hard part
+// f^h runs through the windowed ladder, which matters because h is as wide
+// as q−r (352 bits on the paper parameters).
+func (p *Params) finalExp(m *ff.Mont, f *ff.E2Fel) *GT {
+	var inv, out ff.E2Fel
+	if !m.E2Inv(&inv, f) {
+		// A zero Miller value comes only from inputs outside the prime-order
+		// subgroup; the identity is the only sensible total answer and
+		// callers in this module never feed such inputs.
 		return p.GTOne()
 	}
-	inv, err := e2.Inv(f)
-	if err != nil {
-		return p.GTOne()
-	}
-	easy := e2.Mul(e2.Conj(f), inv)
-	out, err := e2.ExpWindowed(easy, p.H)
-	if err != nil {
-		// Unreachable: h > 0, and non-negative exponents cannot fail.
-		panic("pairing: finalExp: " + err.Error())
-	}
-	return &GT{v: out}
+	m.E2Conj(&out, f)
+	m.E2Mul(&out, &out, &inv)
+	m.E2ExpWindowed(&out, &out, p.H)
+	return &GT{v: m.E2ToE2(&out)}
 }
 
 var (

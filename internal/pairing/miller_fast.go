@@ -25,17 +25,15 @@ import (
 // with H = x_P·Z² − X and R = y_P·Z³ − Y the usual mixed-addition terms.
 
 // Pair computes the modified Tate pairing ê(P, Q); see PairReference for the
-// definition. When the base field fits the limb core the Miller loop runs
-// inversion-free in the Montgomery domain; otherwise it falls back to the
-// affine reference loop. Both paths return bit-identical results.
+// definition. The Miller loop runs inversion-free in the Montgomery domain
+// and returns bit-identical results to the reference loop.
 func (p *Params) Pair(P, Q *curve.Point) *GT {
 	if P.Inf || Q.Inf {
 		return p.GTOne()
 	}
-	if m := p.F.Mont(); m != nil {
-		return p.finalExp(p.millerLoopMont(m, P, Q))
-	}
-	return p.finalExp(p.millerLoop(P, Q))
+	m := p.F.Mont()
+	f := p.millerLoopMont(m, P, Q)
+	return p.finalExp(m, &f)
 }
 
 // PairReference computes ê(P, Q) through the affine Miller loop with
@@ -45,7 +43,10 @@ func (p *Params) PairReference(P, Q *curve.Point) *GT {
 	if P.Inf || Q.Inf {
 		return p.GTOne()
 	}
-	return p.finalExp(p.millerLoop(P, Q))
+	m := p.F.Mont()
+	var f ff.E2Fel
+	m.E2FromE2(&f, p.millerLoop(P, Q))
+	return p.finalExp(m, &f)
 }
 
 // millerMontState carries the loop-invariant operands of one evaluation:
@@ -58,8 +59,8 @@ type millerMontState struct {
 }
 
 // millerLoopMont evaluates f_{r,P}(φ(Q)) with the projective step formulas,
-// entirely in the Montgomery domain; the result converts out once.
-func (p *Params) millerLoopMont(m *ff.Mont, P, Q *curve.Point) *ff.E2 {
+// entirely in the Montgomery domain.
+func (p *Params) millerLoopMont(m *ff.Mont, P, Q *curve.Point) ff.E2Fel {
 	var st millerMontState
 	m.FromBig(&st.xP, P.X)
 	m.FromBig(&st.yP, P.Y)
@@ -79,7 +80,7 @@ func (p *Params) millerLoopMont(m *ff.Mont, P, Q *curve.Point) *ff.E2 {
 			p.montStepAdd(m, &st, &f)
 		}
 	}
-	return m.E2ToE2(&f)
+	return f
 }
 
 // montStepDouble sets T ← 2T and multiplies f by the tangent line value.
