@@ -29,9 +29,9 @@ test:
 short:
 	$(GO) test -short ./...
 
-## race: race detector over the concurrent layers (core manager, admin, cluster, storage) and the crypto substrate
+## race: race detector over the concurrent layers (core manager, admin, cluster, routing core, client, storage) and the crypto substrate
 race:
-	$(GO) test -race ./internal/core/... ./internal/admin/... ./internal/enclave/... ./internal/cluster/... ./internal/dkg/... ./internal/storage/... ./internal/partition/... ./internal/ff/... ./internal/curve/... ./internal/pairing/... ./internal/ibbe/...
+	$(GO) test -race ./internal/core/... ./internal/admin/... ./internal/enclave/... ./internal/cluster/... ./internal/client/... ./internal/membership/... ./internal/dkg/... ./internal/storage/... ./internal/partition/... ./internal/ff/... ./internal/curve/... ./internal/pairing/... ./internal/ibbe/...
 
 ## bench: one pass over every benchmark (smoke; use cmd/ibbe-bench for figures)
 bench:

@@ -413,16 +413,6 @@ func (g *gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		g.handleAutoscale(w, r)
 	case "/admin/cluster/v1/dkg":
 		g.handleDKG(w, r)
-	case "/admin/cluster/membership":
-		// Deprecated pre-v1 alias; same handler, so existing scripts keep
-		// working while the header nudges them to the versioned path.
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</admin/cluster/v1/membership>; rel="successor-version"`)
-		g.handleMembership(w, r)
-	case "/admin/cluster/autoscale":
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</admin/cluster/v1/autoscale>; rel="successor-version"`)
-		g.handleAutoscale(w, r)
 	default:
 		g.rt.ServeHTTP(w, r)
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -12,9 +13,8 @@ import (
 )
 
 // TestControlAPIEnvelope exercises the consolidated /admin/cluster/v1/*
-// surface: every response is the typed envelope, the unversioned paths
-// survive as deprecated aliases, and the new dkg endpoint reports the
-// threshold sharing.
+// surface: every response is the typed envelope, the unversioned pre-v1
+// paths are gone, and the dkg endpoint reports the threshold sharing.
 func TestControlAPIEnvelope(t *testing.T) {
 	c, err := cluster.New(cluster.Options{
 		Shards:       2,
@@ -28,7 +28,15 @@ func TestControlAPIEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Shutdown(t.Context())
-	g := &gateway{c: c, targets: make(map[string]string)}
+	unreachable := make(map[string]string)
+	for _, id := range c.Membership().Members() {
+		unreachable[id] = "http://127.0.0.1:1"
+	}
+	rt, err := cluster.NewRouter(c.Membership(), unreachable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &gateway{c: c, rt: rt, targets: make(map[string]string)}
 	g.installAutoscaler(cluster.NewAutoscaler(c, cluster.AutoscalerConfig{Min: 2}))
 	ts := httptest.NewServer(g)
 	defer ts.Close()
@@ -68,11 +76,17 @@ func TestControlAPIEnvelope(t *testing.T) {
 		t.Fatalf("membership result = %+v", st)
 	}
 
-	if _, hdr := get("/admin/cluster/membership"); hdr["Deprecation"] != "true" {
-		t.Fatal("legacy membership path lacks the Deprecation header")
-	}
-	if _, hdr := get("/admin/cluster/autoscale"); hdr["Deprecation"] != "true" {
-		t.Fatal("legacy autoscale path lacks the Deprecation header")
+	// The pre-v1 paths fall through to the router, which answers a request
+	// naming no group with 400 instead of a control-API status.
+	for _, path := range []string{"/admin/cluster/membership", "/admin/cluster/autoscale"} {
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("GET %s = %d, want the router's 400 (the alias is removed)", path, resp.StatusCode)
+		}
 	}
 	get("/admin/cluster/v1/autoscale")
 

@@ -3,6 +3,7 @@ package benchmark
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"github.com/ibbesgx/ibbesgx/internal/cluster"
+	"github.com/ibbesgx/ibbesgx/internal/membership"
 	"github.com/ibbesgx/ibbesgx/internal/storage"
 	"github.com/ibbesgx/ibbesgx/internal/trace"
 )
@@ -216,38 +218,44 @@ func RunRebalance(cfg Config) ([]RebalanceRow, error) {
 }
 
 // rebalanceOp drives one admin operation through the shard handlers the way
-// the gateway would: candidates in ring order under the CURRENT membership,
+// the gateway would: the routing core's sweep over the group's candidates
+// under the cluster's CURRENT membership, each shard addressed in-process;
 // 503 means "not the owner (or mid hand-off), try the next candidate".
 func rebalanceOp(c *cluster.Cluster, group, route string, body map[string]any) error {
 	blob, err := json.Marshal(body)
 	if err != nil {
 		return err
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
+	view := membership.NewView(nil, nil, nil, nil)
+	follow := func() {
+		// In-process shards have no URLs; each is addressed by its ID.
 		m := c.Membership()
-		for _, id := range m.Owners(group) {
-			shard := c.Shard(id)
-			if shard == nil {
-				continue
-			}
-			req := httptest.NewRequest(http.MethodPost, "/admin/"+route, strings.NewReader(string(blob)))
-			req.Header.Set("Content-Type", "application/json")
-			rec := httptest.NewRecorder()
-			shard.ServeHTTP(rec, req)
-			if rec.Code == http.StatusServiceUnavailable {
-				continue
-			}
-			if rec.Code >= 300 {
-				return fmt.Errorf("benchmark: shard answered %d: %s", rec.Code, strings.TrimSpace(rec.Body.String()))
-			}
-			return nil
+		ids := make(map[string]string)
+		for _, id := range m.Members() {
+			ids[id] = id
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("benchmark: no shard served %s for %s before the deadline", route, group)
-		}
-		time.Sleep(2 * time.Millisecond)
+		_ = view.Adopt(m, ids)
 	}
+	follow()
+	return view.Sweep(context.Background(), group, 30*time.Second, 2*time.Millisecond, func(_ context.Context, id, _ string, _ bool) (membership.Outcome, error) {
+		shard := c.Shard(id)
+		if shard == nil {
+			follow()
+			return membership.Miss, fmt.Errorf("benchmark: %s left the cluster", id)
+		}
+		req := httptest.NewRequest(http.MethodPost, "/admin/"+route, strings.NewReader(string(blob)))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		shard.ServeHTTP(rec, req)
+		switch {
+		case rec.Code == http.StatusServiceUnavailable:
+			follow() // a hand-off: the next pass sweeps the new owners
+			return membership.Miss, errors.New(strings.TrimSpace(rec.Body.String()))
+		case rec.Code >= 300:
+			return membership.Answered, fmt.Errorf("benchmark: shard answered %d: %s", rec.Code, strings.TrimSpace(rec.Body.String()))
+		}
+		return membership.Served, nil
+	}, nil)
 }
 
 // PrintRebalance writes the elastic-membership table.

@@ -3,9 +3,7 @@ package client
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,10 +16,10 @@ import (
 // persisted membership record the shards coordinate through, maps each
 // group to its owning shard via the consistent-hash ring, and sends admin
 // operations straight to that shard — no routing gateway on the path. The
-// gateway's job (owner resolution, fenced-epoch recovery, failover) moves
-// into the client:
+// gateway's routing core (membership.View) runs in the client instead:
 //
 //   - owner miss / 503: try the next ring candidate;
+//   - unreachable shard: cache it down and try the next candidate;
 //   - 412 with X-Fenced (the shard's store write was epoch-fenced): the
 //     client's membership view is stale — reload the record and re-route;
 //   - no record or no reachable owner: fall back to the router, if one is
@@ -36,19 +34,17 @@ type ClusterClient struct {
 	// Fallback is a router URL used when direct routing cannot resolve
 	// (empty disables the fallback).
 	Fallback string
-	// RouteTimeout bounds one operation's routing effort (default 30s).
+	// RouteTimeout bounds one operation's routing effort (0 selects
+	// membership.DefaultRouteTimeout).
 	RouteTimeout time.Duration
-	// RetryInterval paces re-sweeps while owners are unreachable (default
-	// 25ms).
+	// RetryInterval paces re-sweeps while owners are unreachable (0 selects
+	// membership.DefaultRetryInterval).
 	RetryInterval time.Duration
 	// Cache, when set, is wholesale-invalidated each time the client adopts
 	// a newer membership epoch — records may have moved or been re-keyed.
 	Cache *RecordCache
 
-	mu          sync.Mutex
-	m           *membership.Membership
-	targets     map[string]string
-	lastRefresh time.Time
+	view *membership.View
 
 	direct          atomic.Int64
 	proxied         atomic.Int64
@@ -58,20 +54,21 @@ type ClusterClient struct {
 	mFenced *obs.Counter
 }
 
-// fencedRefreshMinInterval rate-limits record reloads triggered by fenced
-// responses, so a burst of stale-routed operations costs one store read.
-const fencedRefreshMinInterval = 250 * time.Millisecond
-
 // NewClusterClient loads the current membership record and returns a
 // client routing directly to shards. A store with no record yet is not an
 // error: the client starts in fallback-only mode and adopts the record via
-// Watch or the first fenced refresh.
+// Watch or the first refresh.
 func NewClusterClient(ctx context.Context, store storage.Store, fallbackURL string) (*ClusterClient, error) {
 	c := &ClusterClient{Store: store, Fallback: fallbackURL}
+	c.view = membership.NewView(store, nil, func() {
+		if c.Cache != nil {
+			c.Cache.InvalidateAll()
+		}
+	}, nil)
 	rec, _, err := membership.Load(ctx, store)
 	switch {
 	case err == nil:
-		c.applyRecord(rec)
+		_ = c.view.AdoptRecord(rec) // a record naming no URL for a member waits for one that does
 	case errors.Is(err, membership.ErrNoRecord):
 		// Bootstrap window: route through the fallback until a record lands.
 	default:
@@ -110,88 +107,23 @@ func (c *ClusterClient) Stats() RouteStats {
 // Epoch returns the membership epoch the client currently routes by (0
 // before any record was adopted).
 func (c *ClusterClient) Epoch() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.m == nil {
-		return 0
+	if m := c.view.Membership(); m != nil {
+		return m.Epoch
 	}
-	return c.m.Epoch
+	return 0
 }
 
 // Watch follows the persisted membership record until ctx ends, adopting
 // each newer epoch (and invalidating the attached record cache when one
-// lands). Run it in its own goroutine alongside the client.
-func (c *ClusterClient) Watch(ctx context.Context) {
-	membership.Watch(ctx, c.Store, c.applyRecord)
-}
-
-// applyRecord adopts rec if it is newer than the current view.
-func (c *ClusterClient) applyRecord(rec *membership.Record) {
-	m, err := rec.Membership()
-	if err != nil {
-		return
-	}
-	targets := make(map[string]string, len(rec.Targets))
-	for id, u := range rec.Targets {
-		targets[id] = u
-	}
-	c.mu.Lock()
-	if c.m != nil && m.Epoch <= c.m.Epoch {
-		c.mu.Unlock()
-		return
-	}
-	bump := c.m != nil // first adoption is not an invalidation event
-	c.m = m
-	c.targets = targets
-	c.mu.Unlock()
-	if bump && c.Cache != nil {
-		c.Cache.InvalidateAll()
-	}
-}
-
-// refresh reloads the membership record from the store, rate-limited so a
-// burst of fenced responses costs one read.
-func (c *ClusterClient) refresh(ctx context.Context) {
-	c.mu.Lock()
-	if time.Since(c.lastRefresh) < fencedRefreshMinInterval {
-		c.mu.Unlock()
-		return
-	}
-	c.lastRefresh = time.Now()
-	c.mu.Unlock()
-	if rec, _, err := membership.Load(ctx, c.Store); err == nil {
-		c.applyRecord(rec)
-	}
-}
-
-func (c *ClusterClient) snapshot(group string) (owners []string, targets map[string]string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.m == nil {
-		return nil, nil
-	}
-	return c.m.Owners(group), c.targets
-}
+// lands) and each republished target set. Run it in its own goroutine
+// alongside the client.
+func (c *ClusterClient) Watch(ctx context.Context) { c.view.Watch(ctx) }
 
 func (c *ClusterClient) httpClient() *http.Client {
 	if c.HTTP != nil {
 		return c.HTTP
 	}
 	return http.DefaultClient
-}
-
-func (c *ClusterClient) routeTimeout() time.Duration {
-	if c.RouteTimeout > 0 {
-		return c.RouteTimeout
-	}
-	return 30 * time.Second
-}
-
-func (c *ClusterClient) retryInterval() time.Duration {
-	if c.RetryInterval > 0 {
-		return c.RetryInterval
-	}
-	return 25 * time.Millisecond
 }
 
 // CreateGroup runs Algorithm 1 for a fresh group on the owning shard.
@@ -225,96 +157,54 @@ func (c *ClusterClient) RekeyGroup(ctx context.Context, group string) error {
 	return c.do(ctx, group, "rekey", adminOpRequest{Group: group})
 }
 
-// do routes one admin operation: sweep the group's owner candidates in
-// ring order, self-heal on fenced responses, and only surrender to the
-// fallback router when direct routing cannot complete.
+// do routes one admin operation through the routing core, surrendering
+// to the fallback router only when direct routing cannot complete a pass.
 func (c *ClusterClient) do(ctx context.Context, group, op string, body adminOpRequest) error {
-	deadline := time.Now().Add(c.routeTimeout())
-	ctx, cancel := context.WithDeadline(ctx, deadline)
-	defer cancel()
-	var lastErr error
-	for {
-		owners, targets := c.snapshot(group)
-		fenced := false
-	sweep:
-		for _, id := range owners {
-			base := targets[id]
-			if base == "" {
-				lastErr = fmt.Errorf("client: no published target for shard %s", id)
-				continue
+	var fallback func(context.Context) (membership.Outcome, error)
+	if c.Fallback != "" {
+		fallback = func(ctx context.Context) (membership.Outcome, error) {
+			err := postAdminOp(ctx, c.httpClient(), c.Fallback, op, body)
+			o := outcome(err)
+			if o == membership.Served {
+				c.noteRoute(&c.proxied, "proxied")
 			}
-			err := postAdminOp(ctx, c.httpClient(), base, op, body)
-			if err == nil {
-				c.noteRoute(&c.direct, "direct")
-				return nil
-			}
-			lastErr = err
-			var apiErr *APIError
-			switch {
-			case errors.As(err, &apiErr) && (apiErr.Fenced || errors.Is(err, ErrFencedEpoch)):
-				// The shard answered from a superseded epoch: our record (or
-				// its) is stale. Reload and re-route rather than walking the
-				// ring on outdated ownership.
-				fenced = true
-				break sweep
-			case errors.As(err, &apiErr) && (errors.Is(err, ErrNotOwner) || apiErr.StatusCode == http.StatusServiceUnavailable):
-				continue // lease handed off or shard draining: next candidate
-			case errors.As(err, &apiErr):
-				return err // a real admin failure; rerouting won't change it
-			default:
-				continue // transport error: next candidate
-			}
+			return o, err
 		}
-		if fenced {
+	}
+	return c.view.Sweep(ctx, group, c.RouteTimeout, c.RetryInterval, func(ctx context.Context, _, url string, _ bool) (membership.Outcome, error) {
+		err := postAdminOp(ctx, c.httpClient(), url, op, body)
+		o := outcome(err)
+		switch o {
+		case membership.Served:
+			c.noteRoute(&c.direct, "direct")
+		case membership.Fenced:
 			c.fencedRefreshes.Add(1)
 			incr(c.mFenced)
 		}
-		// Any failed sweep re-resolves from the store before retrying or
-		// falling back (rate-limited, so a burst costs one read): a stale
-		// ring may simply not contain today's owner.
-		c.refresh(ctx)
-		if fenced && ctx.Err() == nil && time.Now().Before(deadline) {
-			if err := sleepCtx(ctx, c.retryInterval()); err == nil {
-				continue
-			}
-		}
-		// Direct routing could not complete this pass: proxy via the
-		// router, which holds its own membership view.
-		if c.Fallback != "" {
-			err := postAdminOp(ctx, c.httpClient(), c.Fallback, op, body)
-			if err == nil {
-				c.noteRoute(&c.proxied, "proxied")
-				return nil
-			}
-			lastErr = err
-		}
-		if ctx.Err() != nil || !time.Now().Before(deadline) {
-			break
-		}
-		if err := sleepCtx(ctx, c.retryInterval()); err != nil {
-			break
-		}
+		return o, err
+	}, fallback)
+}
+
+// outcome classifies one admin-API answer for the routing sweep.
+func outcome(err error) membership.Outcome {
+	var apiErr *APIError
+	switch {
+	case err == nil:
+		return membership.Served
+	case !errors.As(err, &apiErr):
+		return membership.Down
+	case apiErr.Fenced || errors.Is(err, ErrFencedEpoch):
+		return membership.Fenced
+	case errors.Is(err, ErrNotOwner) || apiErr.StatusCode == http.StatusServiceUnavailable:
+		return membership.Miss
+	default:
+		return membership.Answered // a real admin failure; rerouting won't change it
 	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("client: no route to an owner of group %s", group)
-	}
-	return lastErr
 }
 
 func (c *ClusterClient) noteRoute(counter *atomic.Int64, route string) {
 	counter.Add(1)
 	if c.mRoutes != nil {
 		c.mRoutes.With(route).Inc()
-	}
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
 	}
 }

@@ -279,3 +279,38 @@ func TestClusterClientWireFormat(t *testing.T) {
 		t.Fatalf("wire request = %+v", got)
 	}
 }
+
+// TestClusterClientFollowsRepublishedTargets: a gateway restart rebinds its
+// shards to new ports and republishes the record at the SAME epoch. A
+// client that adopted the epoch before the restart must dial the new URL,
+// not keep failing against the dead one until the next epoch bump.
+func TestClusterClientFollowsRepublishedTargets(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	dead := newAdminStub(t, okHandler)
+	dead.srv.Close()
+	live := newAdminStub(t, okHandler)
+
+	store := storage.NewMemStore(storage.Latency{})
+	members := []string{"shard-0"}
+	publishRecord(t, store, &membership.Record{Epoch: 1, Members: members, Targets: map[string]string{"shard-0": dead.srv.URL}})
+	cc, err := NewClusterClient(ctx, store, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc.RetryInterval = 5 * time.Millisecond
+	cc.RouteTimeout = 3 * time.Second
+
+	publishRecord(t, store, &membership.Record{Epoch: 1, Members: members, Targets: map[string]string{"shard-0": live.srv.URL}})
+	go cc.Watch(ctx)
+
+	if err := cc.AddUser(ctx, "team-x", "alice@example.com"); err != nil {
+		t.Fatalf("op after the same-epoch republish: %v", err)
+	}
+	if live.hits.Load() != 1 {
+		t.Fatalf("live shard hits = %d, want 1", live.hits.Load())
+	}
+	if st := cc.Stats(); st.Direct != 1 {
+		t.Fatalf("routes = %+v, want exactly one direct op", st)
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"github.com/ibbesgx/ibbesgx/internal/admin"
 	"github.com/ibbesgx/ibbesgx/internal/core"
 	"github.com/ibbesgx/ibbesgx/internal/enclave"
+	"github.com/ibbesgx/ibbesgx/internal/membership"
 	"github.com/ibbesgx/ibbesgx/internal/obs"
 	"github.com/ibbesgx/ibbesgx/internal/storage"
 )
@@ -329,12 +330,12 @@ func (s *Shard) applyRecord(ctx context.Context, rec *MembershipRecord) {
 // refreshMembership is the event-driven half of discovery: a fenced write
 // just proved this shard operates under a superseded membership, so it
 // re-reads the record immediately instead of waiting for the watch loop.
-// Rate-limited (like the router's refreshFromStore): a stale shard hit by
-// a burst of in-flight requests must not multiply redundant store reads
-// at exactly the moment the store is busiest.
+// Rate-limited by the routing core's membership.RefreshInterval: a stale
+// shard hit by a burst of in-flight requests must not multiply redundant
+// store reads at exactly the moment the store is busiest.
 func (s *Shard) refreshMembership() {
 	s.mu.Lock()
-	if time.Since(s.lastRefresh) < refreshRateLimit {
+	if time.Since(s.lastRefresh) < membership.RefreshInterval {
 		s.mu.Unlock()
 		return
 	}
